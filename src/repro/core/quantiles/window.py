@@ -6,10 +6,12 @@ eps-approximate summary is extracted by **sampling** the sorted sequence,
 and summaries are combined with a lossless **merge** followed by a lossy
 **prune** that caps the memory footprint.
 
-A summary here is a list of :class:`RankedValue` entries ``(value, rmin,
-rmax)`` over a population of ``count`` elements, with the guarantee that
-for every target rank ``r`` some entry satisfies both ``r - rmin <= error
-* count`` and ``rmax - r <= error * count``.
+A summary here is three parallel arrays -- ``values`` (ascending
+float64) and ``rmins``/``rmaxs`` (non-decreasing int64) -- whose rows are
+the entries ``(value, rmin, rmax)`` over a population of ``count``
+elements, with the guarantee that for every target rank ``r`` some entry
+satisfies both ``r - rmin <= error * count`` and ``rmax - r <= error *
+count``.  :class:`RankedValue` is the public form of one row.
 
 The three operations and their error arithmetic (all from GK04):
 
@@ -48,35 +50,37 @@ class RankedValue:
 class QuantileSummary:
     """An epsilon-approximate quantile summary with explicit rank bounds.
 
-    Instances are immutable in spirit: :meth:`merge` and :meth:`prune`
-    return new summaries.  Build one with :meth:`from_sorted`.
+    The entries live in three parallel arrays: ``values`` (float64,
+    ascending), ``rmins`` and ``rmaxs`` (int64, each non-decreasing,
+    ``1 <= rmin <= rmax <= count``).  Every operation is a whole-array
+    pass over them.  Instances are immutable in spirit: :meth:`merge`
+    and :meth:`prune` return new summaries, which may share arrays with
+    their inputs.  Build one with :meth:`from_sorted`.
     """
 
-    def __init__(self, entries: list[RankedValue], count: int, error: float):
+    def __init__(self, values: np.ndarray, rmins: np.ndarray,
+                 rmaxs: np.ndarray, count: int, error: float):
         if count < 0:
             raise SummaryError(f"count must be non-negative, got {count}")
         if error < 0:
             raise SummaryError(f"error must be non-negative, got {error}")
-        if count > 0 and not entries:
+        self.values = np.asarray(values, dtype=np.float64)
+        self.rmins = np.asarray(rmins, dtype=np.int64)
+        self.rmaxs = np.asarray(rmaxs, dtype=np.int64)
+        if not self.values.shape == self.rmins.shape == self.rmaxs.shape \
+                or self.values.ndim != 1:
+            raise SummaryError(
+                "values, rmins and rmaxs must be 1-d arrays of one length")
+        if count > 0 and not self.values.size:
             raise SummaryError("a non-empty population needs entries")
-        self.entries = entries
         self.count = int(count)
         self.error = float(error)
-        self._array_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(values, rmins, rmaxs) as numpy arrays, computed lazily.
-
-        Summaries are immutable after construction, so the cache never
-        invalidates.  The vectorised merge/lookup paths run off these.
-        """
-        if self._array_cache is None:
-            self._array_cache = (
-                np.array([e.value for e in self.entries], dtype=np.float64),
-                np.array([e.rmin for e in self.entries], dtype=np.int64),
-                np.array([e.rmax for e in self.entries], dtype=np.int64),
-            )
-        return self._array_cache
+    @property
+    def entries(self) -> tuple[RankedValue, ...]:
+        """The summary's rows as :class:`RankedValue` objects (a copy)."""
+        return tuple(map(RankedValue, self.values.tolist(),
+                         self.rmins.tolist(), self.rmaxs.tolist()))
 
     # ------------------------------------------------------------------
     # construction
@@ -84,7 +88,7 @@ class QuantileSummary:
     @classmethod
     def empty(cls) -> "QuantileSummary":
         """A summary of zero elements."""
-        return cls([], 0, 0.0)
+        return cls([], [], [], 0, 0.0)
 
     @classmethod
     def from_sorted(cls, sorted_values: np.ndarray,
@@ -110,11 +114,14 @@ class QuantileSummary:
         if error < 0:
             raise SummaryError(f"error must be non-negative, got {error}")
         step = max(1, math.floor(2.0 * error * n))
-        ranks = list(range(1, n + 1, step))
+        ranks = np.arange(1, n + 1, step, dtype=np.int64)
+        values = arr[::step]
         if ranks[-1] != n:
-            ranks.append(n)
-        entries = [RankedValue(float(arr[r - 1]), r, r) for r in ranks]
-        return cls(entries, n, error)
+            ranks = np.append(ranks, n)
+            values = np.append(values, arr[-1])
+        # astype copies, so the summary never aliases the caller's window;
+        # rmin == rmax, so the one (never written) rank array serves both.
+        return cls(values.astype(np.float64), ranks, ranks, n, error)
 
     # ------------------------------------------------------------------
     # serialization (checkpoint/restore)
@@ -132,23 +139,30 @@ class QuantileSummary:
             "kind": "quantile-summary",
             "count": self.count,
             "error": self.error,
-            "values": [e.value for e in self.entries],
-            "rmins": [e.rmin for e in self.entries],
-            "rmaxs": [e.rmax for e in self.entries],
+            "values": self.values.tolist(),
+            "rmins": self.rmins.tolist(),
+            "rmaxs": self.rmaxs.tolist(),
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "QuantileSummary":
-        """Rebuild a summary from :meth:`to_state` output."""
+        """Rebuild a summary from :meth:`to_state` output.
+
+        The rebuilt summary must pass :meth:`check_invariant`, so a
+        corrupt checkpoint is rejected here rather than answering
+        outside its bound later.
+        """
         if state.get("kind") != "quantile-summary" or \
                 state.get("version") != 1:
             raise SummaryError(
                 f"not a v1 quantile-summary state: {state.get('kind')!r} "
                 f"v{state.get('version')!r}")
-        entries = [RankedValue(float(v), int(lo), int(hi))
-                   for v, lo, hi in zip(state["values"], state["rmins"],
-                                        state["rmaxs"])]
-        return cls(entries, int(state["count"]), float(state["error"]))
+        summary = cls(np.array(state["values"], dtype=np.float64),
+                      np.array(state["rmins"], dtype=np.int64),
+                      np.array(state["rmaxs"], dtype=np.int64),
+                      int(state["count"]), float(state["error"]))
+        summary.check_invariant()
+        return summary
 
     # ------------------------------------------------------------------
     # combination
@@ -168,36 +182,39 @@ class QuantileSummary:
         if other.count == 0:
             return self
         # Ties are broken consistently: equal values of `self` precede
-        # equal values of `other`.  For an element of the *first* source
-        # its predecessor in the other summary must be strictly smaller
-        # and its successor may be equal ("left" bisection); for the
-        # *second* source the roles flip ("right").  Without a consistent
-        # tie-break, duplicated values across the inputs widen the rank
-        # bounds past the guarantee.
-        pieces_v, pieces_lo, pieces_hi = [], [], []
-        for source, against, side in ((self, other, "left"),
-                                      (other, self, "right")):
-            sv, s_rmin, s_rmax = source._arrays()
-            av, a_rmin, a_rmax = against._arrays()
-            idx = np.searchsorted(av, sv, side=side)
-            rmin = s_rmin.copy()
-            has_pred = idx > 0
-            rmin[has_pred] += a_rmin[idx[has_pred] - 1]
-            rmax = s_rmax.copy()
-            has_succ = idx < av.size
-            rmax[has_succ] += a_rmax[idx[has_succ]] - 1
-            rmax[~has_succ] += a_rmax[-1]
-            pieces_v.append(sv)
-            pieces_lo.append(rmin)
-            pieces_hi.append(np.maximum(rmin, rmax))
-        all_v = np.concatenate(pieces_v)
-        all_lo = np.concatenate(pieces_lo)
-        all_hi = np.concatenate(pieces_hi)
-        order = np.lexsort((all_lo, all_v))
-        merged = [RankedValue(float(v), int(lo), int(hi))
-                  for v, lo, hi in zip(all_v[order], all_lo[order],
-                                       all_hi[order])]
-        return QuantileSummary(merged, self.count + other.count,
+        # equal values of `other`, so an entry of `self` has only the
+        # strictly smaller entries of `other` before it, and an entry of
+        # `other` has the equal entries of `self` before it too.  Without
+        # a consistent tie-break, duplicated values across the inputs
+        # widen the rank bounds past the guarantee.  One stable sort of
+        # both value arrays yields that order, which is also the merged
+        # entries' (value, rmin) order since both sources' rank bounds
+        # are non-decreasing.  An entry's merged position minus its
+        # position in its own source counts the other source's entries
+        # before it.
+        both = np.concatenate((self.values, other.values))
+        order = np.argsort(both, kind="stable")
+        position = np.empty(order.size, dtype=np.intp)
+        position[order] = np.arange(order.size)
+        values = both[order]
+        rmins = np.empty(order.size, dtype=np.int64)
+        rmaxs = np.empty(order.size, dtype=np.int64)
+        split = self.values.size
+        for source, against, at in ((self, other, position[:split]),
+                                    (other, self, position[split:])):
+            idx = at - np.arange(at.size)
+            # Padded neighbour bounds: index idx of `pred_rmin` is the
+            # predecessor's rmin (0 when idx == 0); index idx of
+            # `succ_rmax` is the successor's rmax - 1, or the last rmax
+            # when idx runs off the end.
+            pred_rmin = np.concatenate(([0], against.rmins))
+            succ_rmax = np.concatenate((against.rmaxs - 1,
+                                        against.rmaxs[-1:]))
+            rmin = source.rmins + pred_rmin[idx]
+            rmins[at] = rmin
+            rmaxs[at] = np.maximum(rmin, source.rmaxs + succ_rmax[idx])
+        return QuantileSummary(values, rmins, rmaxs,
+                               self.count + other.count,
                                max(self.error, other.error))
 
     @staticmethod
@@ -228,29 +245,50 @@ class QuantileSummary:
         """
         if budget < 1:
             raise SummaryError(f"prune budget must be >= 1, got {budget}")
-        if len(self.entries) <= budget + 1:
-            return QuantileSummary(list(self.entries), self.count,
-                                   self.error + 1.0 / (2.0 * budget))
-        kept: list[RankedValue] = []
-        for i in range(budget + 1):
-            rank = max(1, min(self.count,
-                              math.ceil(i * self.count / budget)))
-            entry = self._lookup(rank)
-            if not kept or entry is not kept[-1]:
-                kept.append(entry)
-        return QuantileSummary(kept, self.count,
-                               self.error + 1.0 / (2.0 * budget))
+        error = self.error + 1.0 / (2.0 * budget)
+        if self.values.size <= budget + 1:
+            return QuantileSummary(self.values, self.rmins, self.rmaxs,
+                                   self.count, error)
+        ranks = np.ceil(np.arange(budget + 1) * self.count / budget
+                        ).astype(np.int64)
+        ranks[0] = 1  # the only target outside [1, count]
+        picked = self._lookup(ranks)
+        # Consecutive targets answered by the same entry keep it once.
+        keep = picked[np.concatenate(([True], picked[1:] != picked[:-1]))]
+        return QuantileSummary(self.values[keep], self.rmins[keep],
+                               self.rmaxs[keep], self.count, error)
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def _lookup(self, rank: int) -> RankedValue:
-        """Entry minimising ``max(rank - rmin, rmax - rank)``."""
-        if not self.entries:
-            raise QueryError("lookup on an empty summary")
-        _, rmins, rmaxs = self._arrays()
-        scores = np.maximum(rank - rmins, rmaxs - rank)
-        return self.entries[int(np.argmin(scores))]
+    def _closest(self, rank: int) -> int:
+        """The first entry minimising ``max(rank - rmin, rmax - rank)``."""
+        return int(np.argmin(np.maximum(rank - self.rmins,
+                                        self.rmaxs - rank)))
+
+    def _lookup(self, ranks: np.ndarray) -> np.ndarray:
+        """:meth:`_closest` for every target rank in one pass.
+
+        With ``rmin`` and ``rmax`` non-decreasing the score is
+        ``rank - rmin`` (non-increasing) on the prefix of entries with
+        ``rmin + rmax <= 2 rank`` and ``rmax - rank`` (non-decreasing)
+        on the rest, so the minimum is at the prefix's last entry --
+        moved back to the first entry sharing its ``rmin`` -- or at the
+        rest's first entry, the earlier one on a tie.  Without that
+        order each target takes its own :meth:`_closest`.
+        """
+        rmins, rmaxs = self.rmins, self.rmaxs
+        if np.any(rmins[1:] < rmins[:-1]) or np.any(rmaxs[1:] < rmaxs[:-1]):
+            return np.array([self._closest(rank) for rank in ranks.tolist()],
+                            dtype=np.intp)
+        split = np.searchsorted(rmins + rmaxs, 2 * ranks, side="right")
+        below = np.maximum(split - 1, 0)
+        above = np.minimum(split, rmins.size - 1)
+        take_below = (split > 0) & (
+            (split == rmins.size)
+            | (ranks - rmins[below] <= rmaxs[above] - ranks))
+        first_below = np.searchsorted(rmins, rmins[below], side="left")
+        return np.where(take_below, first_below, above)
 
     def query_rank(self, rank: int) -> float:
         """Value whose true rank is within ``error * count`` of ``rank``."""
@@ -258,7 +296,7 @@ class QuantileSummary:
             raise QueryError("query on an empty summary")
         if not 1 <= rank <= self.count:
             raise QueryError(f"rank must be in [1, {self.count}], got {rank}")
-        return self._lookup(rank).value
+        return float(self.values[self._closest(rank)])
 
     def quantile(self, phi: float) -> float:
         """The phi-quantile within ``error * count`` rank error."""
@@ -269,19 +307,26 @@ class QuantileSummary:
         return self.query_rank(max(1, math.ceil(phi * self.count)))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return int(self.values.size)
 
     def check_invariant(self) -> None:
-        """Validate ordering and rank-bound sanity; raise on violation."""
-        previous_value = -math.inf
-        for entry in self.entries:
-            if entry.value < previous_value:
-                raise InvariantViolation("summary entries out of value order")
-            previous_value = entry.value
-            if entry.rmax > self.count:
-                raise InvariantViolation(
-                    f"rmax {entry.rmax} exceeds population {self.count}")
-        if self.entries:
-            if self.entries[0].rmin > max(1, math.ceil(
-                    2 * self.error * self.count)):
-                raise InvariantViolation("first entry's rmin too large")
+        """Validate ordering and rank-bound sanity; raise on violation.
+
+        Values ascend, ``1 <= rmin <= rmax <= count`` on every entry, and
+        ``rmin`` and ``rmax`` are each non-decreasing -- the order
+        :meth:`merge` and the fast path of :meth:`prune` rely on.
+        """
+        values, rmins, rmaxs = self.values, self.rmins, self.rmaxs
+        if not values.size:
+            return
+        if np.any(values[1:] < values[:-1]):
+            raise InvariantViolation("summary entries out of value order")
+        if rmins[0] < 1 or np.any(rmins > rmaxs):
+            raise InvariantViolation("an entry has rmin < 1 or rmin > rmax")
+        if rmaxs[-1] > self.count:
+            raise InvariantViolation(
+                f"rmax {rmaxs[-1]} exceeds population {self.count}")
+        if np.any(rmins[1:] < rmins[:-1]) or np.any(rmaxs[1:] < rmaxs[:-1]):
+            raise InvariantViolation("rank bounds decrease along the summary")
+        if rmins[0] > max(1, math.ceil(2 * self.error * self.count)):
+            raise InvariantViolation("first entry's rmin too large")

@@ -250,10 +250,13 @@ class StreamingQuantiles:
         return sum(len(s) for s in self._buckets.values())
 
     def check_invariant(self) -> None:
-        """Validate bucket-id uniqueness and per-bucket error budgets."""
+        """Validate bucket ids, per-bucket error budgets and every bucket
+        summary's own invariant (:meth:`QuantileSummary.check_invariant`),
+        so :meth:`from_state` rejects a corrupt checkpoint."""
         for bucket_id, summary in self._buckets.items():
             if bucket_id < 1:
                 raise InvariantViolation(f"invalid bucket id {bucket_id}")
+            summary.check_invariant()
             budget = self.bucket_error(bucket_id) + 1e-9
             if summary.error > budget:
                 raise InvariantViolation(

@@ -6,9 +6,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.core import (DgimCounter, DgimSum, SlidingWindowFrequencies,
-                        SlidingWindowQuantiles, StreamingQuantiles)
-from repro.errors import QueryError, SummaryError
+from repro.core import (DgimCounter, DgimSum, QuantileSummary,
+                        SlidingWindowFrequencies, SlidingWindowQuantiles,
+                        StreamingQuantiles)
+from repro.errors import InvariantViolation, QueryError, SummaryError
 from repro.streams import zipf_stream
 
 from ..conftest import rank_error
@@ -126,6 +127,32 @@ class TestStreamingQuantiles:
     def test_query_before_data_raises(self):
         with pytest.raises(QueryError):
             StreamingQuantiles(0.1, 10).quantile(0.5)
+
+    def test_tampered_checkpoint_is_rejected(self, rng):
+        sq = StreamingQuantiles(0.05, 100, stream_length_hint=1000)
+        for _ in range(7):
+            sq.add_window(rng.random(100).astype(np.float32))
+        state = sq.to_state()
+        bucket = state["buckets"]["3"]  # 4 windows, merged and pruned
+        rmins, rmaxs = bucket["rmins"], bucket["rmaxs"]
+        # Swap two rmins so that each still satisfies 1 <= rmin <= rmax:
+        # only their order is wrong.
+        i = next(i for i in range(len(rmins) - 1)
+                 if rmins[i] < rmins[i + 1] <= rmaxs[i])
+        rmins[i], rmins[i + 1] = rmins[i + 1], rmins[i]
+        with pytest.raises(InvariantViolation, match="decrease"):
+            StreamingQuantiles.from_state(state)
+
+    def test_check_invariant_covers_each_bucket_summary(self, rng):
+        sq = StreamingQuantiles(0.05, 100)
+        for _ in range(3):
+            sq.add_window(rng.random(100).astype(np.float32))
+        summary = sq._buckets[2]
+        sq._buckets[2] = QuantileSummary(summary.values[::-1], summary.rmins,
+                                         summary.rmaxs, summary.count,
+                                         summary.error)
+        with pytest.raises(InvariantViolation, match="value order"):
+            sq.check_invariant()
 
 
 class TestSlidingWindowQuantiles:
