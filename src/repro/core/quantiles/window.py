@@ -261,6 +261,12 @@ class QuantileSummary:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+    def _bounds_ascend(self) -> bool:
+        """Whether ``rmin`` and ``rmax`` are each non-decreasing."""
+        rmins, rmaxs = self.rmins, self.rmaxs
+        return not (np.any(rmins[1:] < rmins[:-1])
+                    or np.any(rmaxs[1:] < rmaxs[:-1]))
+
     def _closest(self, rank: int) -> int:
         """The first entry minimising ``max(rank - rmin, rmax - rank)``."""
         return int(np.argmin(np.maximum(rank - self.rmins,
@@ -277,10 +283,10 @@ class QuantileSummary:
         rest's first entry, the earlier one on a tie.  Without that
         order each target takes its own :meth:`_closest`.
         """
-        rmins, rmaxs = self.rmins, self.rmaxs
-        if np.any(rmins[1:] < rmins[:-1]) or np.any(rmaxs[1:] < rmaxs[:-1]):
+        if not self._bounds_ascend():
             return np.array([self._closest(rank) for rank in ranks.tolist()],
                             dtype=np.intp)
+        rmins, rmaxs = self.rmins, self.rmaxs
         split = np.searchsorted(rmins + rmaxs, 2 * ranks, side="right")
         below = np.maximum(split - 1, 0)
         above = np.minimum(split, rmins.size - 1)
@@ -321,12 +327,13 @@ class QuantileSummary:
             return
         if np.any(values[1:] < values[:-1]):
             raise InvariantViolation("summary entries out of value order")
+        if not self._bounds_ascend():
+            raise InvariantViolation("rank bounds decrease along the summary")
+        # Both bounds are non-decreasing, so the ends bound every entry.
         if rmins[0] < 1 or np.any(rmins > rmaxs):
             raise InvariantViolation("an entry has rmin < 1 or rmin > rmax")
         if rmaxs[-1] > self.count:
             raise InvariantViolation(
                 f"rmax {rmaxs[-1]} exceeds population {self.count}")
-        if np.any(rmins[1:] < rmins[:-1]) or np.any(rmaxs[1:] < rmaxs[:-1]):
-            raise InvariantViolation("rank bounds decrease along the summary")
         if rmins[0] > max(1, math.ceil(2 * self.error * self.count)):
             raise InvariantViolation("first entry's rmin too large")

@@ -152,6 +152,27 @@ def pruned_pair(window, error, budget):
     return got, want
 
 
+def twin_histogram(stream, eps, window, hint):
+    """Feed ``stream`` window by window into a StreamingQuantiles and
+    into the reference, comparing every bucket after every window."""
+    sq = StreamingQuantiles(eps, window, hint)
+    want: dict[int, Ref] = {}
+    for values_ in stream:
+        arr = ascending(values_)
+        sq.add_sorted_window(arr)
+        summary = ref_from_sorted(arr, eps / 2.0)
+        bucket_id = 1
+        while bucket_id in want:
+            summary = ref_prune(ref_merge(summary, want.pop(bucket_id)),
+                                sq._prune_budget())
+            bucket_id += 1
+        want[bucket_id] = summary
+        assert set(sq._buckets) == set(want)
+        for b, ref in want.items():
+            assert_same(sq._buckets[b], ref)
+    return sq, want
+
+
 class TestTwinProperty:
     @settings(max_examples=150, deadline=None)
     @given(window=st.lists(values, max_size=80), error=errors)
@@ -202,8 +223,8 @@ class TestTwinProperty:
     def test_streaming_quantiles_bucket_by_bucket(self, stream, other, eps,
                                                   hint):
         window = 60
-        got, want = self._run(stream, eps, window, hint)
-        got_other, want_other = self._run(other, eps, window, hint)
+        got, want = twin_histogram(stream, eps, window, hint)
+        got_other, want_other = twin_histogram(other, eps, window, hint)
         # merge of two histograms: one lossless merge_all and one prune
         merged = got.merge(got_other)
         parts = list(want.items()) + list(want_other.items())
@@ -218,46 +239,13 @@ class TestTwinProperty:
             assert merged.quantile(0.5) == \
                 merged._buckets[bucket_id].quantile(0.5)
 
-    @staticmethod
-    def _run(stream, eps, window, hint):
-        """Feed ``stream`` window by window into a StreamingQuantiles
-        and into the reference, comparing every bucket after every
-        window."""
-        sq = StreamingQuantiles(eps, window, hint)
-        want: dict[int, Ref] = {}
-        for values_ in stream:
-            arr = ascending(values_)
-            sq.add_sorted_window(arr)
-            summary = ref_from_sorted(arr, eps / 2.0)
-            bucket_id = 1
-            while bucket_id in want:
-                summary = ref_prune(ref_merge(summary, want.pop(bucket_id)),
-                                    sq._prune_budget())
-                bucket_id += 1
-            want[bucket_id] = summary
-            assert set(sq._buckets) == set(want)
-            for b, ref in want.items():
-                assert_same(sq._buckets[b], ref)
-        return sq, want
-
 
 class TestFixedCases:
     def test_reversed_stream_sorted_per_window(self):
         stream = np.arange(5000, dtype=np.float32)[::-1]
-        sq = StreamingQuantiles(0.01, 100)
-        want: dict[int, Ref] = {}
-        for lo in range(0, stream.size, 100):
-            arr = np.sort(stream[lo:lo + 100])
-            sq.add_sorted_window(arr)
-            summary = ref_from_sorted(arr, 0.005)
-            bucket_id = 1
-            while bucket_id in want:
-                summary = ref_prune(ref_merge(summary, want.pop(bucket_id)),
-                                    sq._prune_budget())
-                bucket_id += 1
-            want[bucket_id] = summary
-        for b, ref in want.items():
-            assert_same(sq._buckets[b], ref)
+        sq, want = twin_histogram(
+            [stream[lo:lo + 100] for lo in range(0, stream.size, 100)],
+            0.01, 100, 100_000_000)
         combined = ref_merge_all(list(want.values()))
         for phi in np.linspace(0.0, 1.0, 11):
             rank = max(1, math.ceil(phi * combined.count))
